@@ -289,16 +289,15 @@ fn main() {
     let cores = (replicas * workers) as f64;
     let cfg = ServerConfig {
         replicas,
-        dispatchers: 2,
         engine: EngineConfig {
             workers,
             max_batch: 32,
             flush_deadline_us: 300,
+            // Small on purpose: the overload phase must hit the cap with a
+            // bounded client fleet.
+            queue_cap: 4,
             ..EngineConfig::default()
         },
-        // Small on purpose: the overload phase must hit the cap with a
-        // bounded client fleet.
-        admission_cap: 4,
         ..ServerConfig::default()
     };
 
@@ -438,7 +437,6 @@ fn main() {
             move || Embsr::new(factory.clone()),
             ServerConfig {
                 replicas,
-                dispatchers: 2,
                 engine: EngineConfig {
                     workers,
                     max_batch: 32,

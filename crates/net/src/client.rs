@@ -124,10 +124,14 @@ fn note_overload(shared: &Shared, err: NetError) -> NetError {
 
 /// Dooms every in-flight request with `err` and marks the connection dead.
 fn fail_all(shared: &Shared, err: NetError) {
+    // lock: `dead` is set while `pending` is held, and `submit` checks
+    // `dead` under the same `pending` lock before registering a waiter, so
+    // every waiter either sees the death up front or is drained here.
+    let mut pending = lock(&shared.pending);
     *lock(&shared.dead) = Some(err.clone());
     // det: drain order is irrelevant — every waiter receives the same
     // terminal error regardless of the map's iteration order.
-    for (_, tx) in lock(&shared.pending).drain() {
+    for (_, tx) in pending.drain() {
         let _ = tx.send(Err(err.clone()));
     }
 }
@@ -385,13 +389,19 @@ impl NetClient {
             });
             return Pending::ready(result);
         }
-        if let Some(err) = lock(&self.shared.dead).clone() {
-            return Pending::ready(Err(err));
-        }
         // ordering: Relaxed — ids only need uniqueness, not ordering.
         let request_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        lock(&self.shared.pending).insert(request_id, tx);
+        {
+            // lock: checked under `pending`, which `fail_all` holds while
+            // it marks the connection dead — a waiter registered after the
+            // reader died would never be answered.
+            let mut pending = lock(&self.shared.pending);
+            if let Some(err) = lock(&self.shared.dead).clone() {
+                return Pending::ready(Err(err));
+            }
+            pending.insert(request_id, tx);
+        }
         let frame = Frame::new(kind, request_id, payload);
         {
             let mut writer = lock(&self.shared.write);

@@ -23,12 +23,14 @@
 //!   minimal-movement under replica death.
 //! * [`Server`] — accept loop → multiplexed per-connection handlers
 //!   (reader + request-worker pool; out-of-order completion by request id)
-//!   → router → per-replica bounded queues → dispatcher threads →
-//!   [`serve`] (embsr_serve::serve) engines, one frozen replica each.
-//!   Ships the protocol-v2 control plane (zero-downtime snapshot
-//!   staging/activation + status), fault injection
-//!   ([`Server::kill_replica`], [`Server::set_replica_delay_us`]) and
-//!   exact request accounting ([`Server::stats`]).
+//!   → router → each replica's [`serve`](embsr_serve::serve) engine queue,
+//!   one frozen replica per engine. The engine queue is the only queue:
+//!   the router enqueues sessions into it directly, and the engine owns
+//!   admission, deadline shedding and the backlog a killed replica hands
+//!   back for re-routing. Ships the protocol-v2 control plane
+//!   (zero-downtime snapshot staging/activation + status), fault
+//!   injection ([`Server::kill_replica`], [`Server::set_replica_delay_us`])
+//!   and exact request accounting ([`Server::stats`]).
 //! * [`NetClient`] — pipelined client: [`NetClient::submit_score`]
 //!   returns a [`Pending`] immediately and a reader thread demultiplexes
 //!   responses, so one connection carries many requests in flight;
@@ -55,7 +57,7 @@ mod server;
 pub use client::{NetClient, Pending, RetryPolicy};
 pub use frame::{Frame, FrameError, FrameKind, VERSION, VERSION_V1};
 pub use server::{
-    Server, ServerConfig, ServerStats, METRIC_NET_CONTROL, METRIC_NET_DEADLINE_EXPIRED,
-    METRIC_NET_LATENCY_US, METRIC_NET_REJECTED, METRIC_NET_REQUESTS, METRIC_NET_REROUTED,
+    Server, ServerConfig, ServerStats, METRIC_NET_CONTROL, METRIC_NET_LATENCY_US,
+    METRIC_NET_REJECTED, METRIC_NET_REQUESTS, METRIC_NET_REROUTED,
 };
 pub use wire::{ControlReply, ControlRequest, NetError, Request, Response, ServerStatus};

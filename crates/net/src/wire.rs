@@ -72,6 +72,7 @@ impl From<ServeError> for NetError {
         match e {
             ServeError::Overloaded { queued, cap } => NetError::Overloaded { queued, cap },
             ServeError::DeadlineExpired { waited_us } => NetError::DeadlineExpired { waited_us },
+            ServeError::Unavailable => NetError::Unavailable(e.to_string()),
         }
     }
 }
@@ -463,7 +464,7 @@ fn hex_encode(bytes: &[u8]) -> String {
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, NetError> {
     let raw = s.as_bytes();
-    if raw.len() % 2 != 0 {
+    if !raw.len().is_multiple_of(2) {
         return Err(NetError::Wire(format!(
             "hex string has odd length {}",
             raw.len()

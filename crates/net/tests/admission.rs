@@ -23,14 +23,13 @@ fn tiny_server(seed: u64, admission_cap: usize) -> Server {
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas: 1,
-            dispatchers: 1,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 8,
                 flush_deadline_us: 100,
+                queue_cap: admission_cap,
                 ..EngineConfig::default()
             },
-            admission_cap,
             ..ServerConfig::default()
         },
     )

@@ -34,7 +34,6 @@ fn start_server(replicas: usize, seed: u64) -> (Server, FrozenModel<ToyModel>) {
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas,
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 16,

@@ -12,6 +12,8 @@
 //! * **Compatibility** — a hand-rolled v1 peer (no Hello handshake, v1
 //!   frame headers) still gets v1-framed, decodable responses from the
 //!   multiplexed server.
+//! * **Coalescing** — concurrent single-session requests reach the
+//!   replica's engine together and share one micro-batch.
 
 mod common;
 
@@ -21,8 +23,10 @@ use std::net::TcpStream;
 use common::{guard, sess, session_pool, ToyModel};
 use embsr_net::frame::{self, Frame, FrameKind};
 use embsr_net::{wire, NetClient, Server, ServerConfig, VERSION, VERSION_V1};
-use embsr_obs::trace;
-use embsr_serve::{EngineConfig, FrozenModel, ScoreBatch, SubmitOptions, TopK};
+use embsr_obs::{metrics, trace};
+use embsr_serve::{
+    EngineConfig, FrozenModel, ScoreBatch, SubmitOptions, TopK, METRIC_BATCH_SESSIONS,
+};
 
 const NUM_ITEMS: usize = 24;
 
@@ -33,7 +37,6 @@ fn start_server(replicas: usize, seed: u64) -> (Server, FrozenModel<ToyModel>) {
         move || ToyModel::new(NUM_ITEMS, seed),
         ServerConfig {
             replicas,
-            dispatchers: 2,
             engine: EngineConfig {
                 workers: 1,
                 max_batch: 16,
@@ -234,4 +237,63 @@ fn submit_and_blocking_calls_interleave_on_one_connection() {
     let resp = pending.wait().expect("pending resolves after later calls");
     assert_bitwise(&want_a, &resp.scores, "pending resolved late");
     server.shutdown();
+}
+
+#[test]
+fn pipelined_single_session_requests_coalesce_into_one_engine_batch() {
+    let _g = guard();
+    let seed = 51;
+    let frozen = FrozenModel::freeze(ToyModel::new(NUM_ITEMS, seed), 16);
+    // One replica whose engine holds an underfull batch open for 200ms:
+    // every request pipelined below arrives well inside that window.
+    let server = Server::start(
+        &frozen,
+        move || ToyModel::new(NUM_ITEMS, seed),
+        ServerConfig {
+            replicas: 1,
+            engine: EngineConfig {
+                workers: 1,
+                max_batch: 8,
+                flush_deadline_us: 200_000,
+                ..EngineConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let sessions = session_pool(8, NUM_ITEMS as u32, 4);
+    let expected = frozen.score_batch(&sessions);
+
+    metrics::reset_all();
+    metrics::set_enabled(true);
+    let client = NetClient::connect(server.addr()).expect("connect");
+    let pendings: Vec<_> = sessions
+        .iter()
+        .map(|s| {
+            client.submit_score(
+                &ScoreBatch {
+                    sessions: vec![s.clone()],
+                },
+                SubmitOptions::default(),
+            )
+        })
+        .collect();
+    let rows: Vec<Vec<f32>> = pendings
+        .into_iter()
+        .map(|p| {
+            let mut resp = p.wait().expect("pipelined request succeeds");
+            assert_eq!(resp.scores.len(), 1, "one row per single-session request");
+            resp.scores.remove(0)
+        })
+        .collect();
+    let widest = metrics::histogram(METRIC_BATCH_SESSIONS).max();
+    metrics::set_enabled(false);
+    drop(client);
+    server.shutdown();
+
+    assert_bitwise(&expected, &rows, "coalesced singles vs in-process batch");
+    assert!(
+        widest.is_some_and(|b| b > 2),
+        "8 concurrent single-session requests must share a micro-batch, widest was {widest:?}"
+    );
 }

@@ -87,6 +87,9 @@ mod tests {
 
     #[test]
     fn init_from_env_accepts_garbage() {
+        // Replaces the global console filter, which other tests' events
+        // pass through.
+        let _g = crate::sink::test_guard();
         // An unparsable spec must fall back, not panic.
         std::env::set_var("EMBSR_OBS_TEST_FILTER", "===");
         init_from_env("EMBSR_OBS_TEST_FILTER", "warn");

@@ -461,6 +461,8 @@ mod tests {
 
     #[test]
     fn enabled_flag_toggles() {
+        // Flips the global switch that other tests (span histograms) rely on.
+        let _g = crate::sink::test_guard();
         assert!(!enabled() || enabled()); // no crash; default off unless another test enabled it
         set_enabled(true);
         assert!(enabled());

@@ -85,6 +85,9 @@ mod tests {
 
     #[test]
     fn paths_nest_and_unwind() {
+        // The spans below emit close events through the global dispatcher;
+        // without the guard they land in another test's sink.
+        let _g = test_guard();
         assert_eq!(span_path(), "");
         let _a = span("t", "fit");
         assert_eq!(span_path(), "fit");

@@ -7,6 +7,16 @@
 //! [`EngineConfig::flush_deadline_us`] for stragglers to fill the batch
 //! (the classic latency/throughput knob of batched inference servers).
 //!
+//! The engine's queue is the only queue on the serving path. It owns
+//! admission ([`EngineConfig::queue_cap`]), deadline shedding
+//! ([`SubmitOptions::deadline_us`]) and the backlog a closing engine hands
+//! back. Besides the blocking calls, an [`EngineHandle`] (the [`Client`]
+//! that `serve` lends its master closure) offers a non-blocking
+//! [`EngineHandle::enqueue`] of [`Job`]s, each carrying its own reply
+//! sink: a front end (the `embsr-net` router) clones the handle, pushes
+//! sessions straight into the queue from its own threads, and collects
+//! the [`SessionReply`]s with [`gather_replies`].
+//!
 //! Model weights cross threads as the flat snapshot inside a
 //! [`FrozenModel`]; each worker rebuilds a private replica from a
 //! constructor closure plus the snapshot (tensors are `Rc`-backed and
@@ -25,20 +35,20 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use embsr_obs::trace::{self, TraceCtx};
 use embsr_obs::Stopwatch;
-use embsr_pool::{run_with_workers, AbortSignal};
+use embsr_pool::run_with_workers;
 use embsr_sessions::Session;
 use embsr_train::SessionModel;
 
 use crate::api::{top_k_of_row, ScoreBatch, ScoreResponse, TopK, TopKResponse};
 use crate::cache::{CacheStats, ReprCache};
 use crate::frozen::FrozenModel;
-use crate::snapshot::{self, Precision};
+use crate::snapshot::{self, DecodedSnapshot, Precision};
 
 /// Histogram of end-to-end request latency in microseconds.
 pub const METRIC_REQUEST_LATENCY_US: &str = "serve.request_latency_us";
@@ -58,7 +68,7 @@ pub const METRIC_REJECTED: &str = "serve.rejected";
 /// expired while they waited in the queue.
 pub const METRIC_DEADLINE_EXPIRED: &str = "serve.deadline_expired";
 /// Counter of per-worker replica rebuilds triggered by snapshot
-/// activation ([`Client::activate`]); `workers` increments per swap.
+/// activation ([`EngineHandle::activate`]); `workers` increments per swap.
 pub const METRIC_SNAPSHOT_SWAPS: &str = "serve.snapshot_swaps";
 
 /// Tuning knobs of the micro-batching engine.
@@ -99,7 +109,7 @@ impl Default for EngineConfig {
 }
 
 /// Per-request admission and deadline knobs for the fallible submit paths
-/// ([`Client::try_score`] / [`Client::try_top_k`]).
+/// ([`EngineHandle::try_score`] / [`EngineHandle::try_top_k`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Microseconds the request may spend queued before a worker sheds it
@@ -112,9 +122,10 @@ pub struct SubmitOptions {
     pub shed: bool,
 }
 
-/// Why a fallible submit did not produce scores. Both variants are *load*
-/// conditions, not bugs: callers are expected to back off and retry
-/// (`Overloaded`) or give up on the stale request (`DeadlineExpired`).
+/// Why a fallible submit did not produce scores. `Overloaded` and
+/// `DeadlineExpired` are *load* conditions, not bugs: callers are expected
+/// to back off and retry (`Overloaded`) or give up on the stale request
+/// (`DeadlineExpired`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control turned the request away: the queue already held
@@ -123,6 +134,10 @@ pub enum ServeError {
     /// The request waited `waited_us` in the queue, past its deadline, and
     /// was shed by the scoring worker without being scored.
     DeadlineExpired { waited_us: u64 },
+    /// No reply will come: the engine was closed (killed, shut down, or a
+    /// scoring worker died) before it scored the request, or the reply
+    /// outlived the caller's stall bound ([`gather_replies`]).
+    Unavailable,
 }
 
 impl std::fmt::Display for ServeError {
@@ -134,16 +149,17 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExpired { waited_us } => {
                 write!(f, "deadline expired after {waited_us}us in queue")
             }
+            ServeError::Unavailable => write!(f, "no reply: engine closed or reply stalled"),
         }
     }
 }
 
-/// Why a control-plane call ([`Client::stage_snapshot`] /
-/// [`Client::activate`]) was refused. All variants leave serving
+/// Why a control-plane call ([`EngineHandle::stage_snapshot`] /
+/// [`EngineHandle::activate`]) was refused. All variants leave serving
 /// untouched: a bad snapshot can never reach a replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SwapError {
-    /// [`Client::activate`] named a version that was never staged.
+    /// [`EngineHandle::activate`] named a version that was never staged.
     UnknownVersion(u64),
     /// The staged snapshot's weight count does not match the serving
     /// model's parameter layout.
@@ -164,7 +180,7 @@ impl std::fmt::Display for SwapError {
     }
 }
 
-/// Point-in-time control-plane view of one engine ([`Client::status`]).
+/// Point-in-time control-plane view of one engine ([`EngineHandle::status`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStatus {
     /// Version currently scoring new batches.
@@ -175,20 +191,12 @@ pub struct EngineStatus {
     pub cache: CacheStats,
 }
 
-/// A decoded snapshot held by the [`ModelBank`], ready for replicas to
-/// import.
-struct StagedSnapshot {
-    weights: Vec<f32>,
-    max_session_len: usize,
-    precision: Precision,
-}
-
 /// The staged-snapshot registry shared by an engine's workers: versions
 /// accumulate under the mutex, activation atomically flips `active` and
 /// bumps `epoch`, and workers compare `epoch` against their local copy
 /// between batches — the flip itself never blocks scoring.
 struct ModelBank {
-    versions: Mutex<BTreeMap<u64, Arc<StagedSnapshot>>>,
+    versions: Mutex<BTreeMap<u64, Arc<DecodedSnapshot>>>,
     /// Version new batches must score under.
     active: AtomicU64,
     /// Bumped on every activation; workers rebuild when it moves.
@@ -199,7 +207,7 @@ struct ModelBank {
 }
 
 impl ModelBank {
-    fn new(initial_version: u64, initial: StagedSnapshot) -> ModelBank {
+    fn new(initial_version: u64, initial: DecodedSnapshot) -> ModelBank {
         let expected_weights = initial.weights.len();
         let mut versions = BTreeMap::new();
         versions.insert(initial_version, Arc::new(initial));
@@ -211,14 +219,14 @@ impl ModelBank {
         }
     }
 
-    fn lock_versions(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<StagedSnapshot>>> {
+    fn lock_versions(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<DecodedSnapshot>>> {
         match self.versions.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    fn stage(&self, version: u64, snap: StagedSnapshot) -> Result<(), SwapError> {
+    fn stage(&self, version: u64, snap: DecodedSnapshot) -> Result<(), SwapError> {
         if snap.weights.len() != self.expected_weights {
             return Err(SwapError::WrongLayout {
                 expected: self.expected_weights,
@@ -259,7 +267,7 @@ impl ModelBank {
 
     /// The consistent (epoch, version, snapshot) triple workers rebuild
     /// from; taken under the versions lock so the three never tear.
-    fn active_state(&self) -> (u64, u64, Arc<StagedSnapshot>) {
+    fn active_state(&self) -> (u64, u64, Arc<DecodedSnapshot>) {
         let versions = self.lock_versions();
         let epoch = self.epoch();
         let version = self.active_version();
@@ -268,11 +276,13 @@ impl ModelBank {
             .cloned()
             // The active version is always a key: activation checks under
             // the same lock and staged versions are never removed.
-            .unwrap_or_else(|| Arc::new(StagedSnapshot {
-                weights: Vec::new(),
-                max_session_len: 0,
-                precision: Precision::F32,
-            }));
+            .unwrap_or_else(|| {
+                Arc::new(DecodedSnapshot {
+                    weights: Vec::new(),
+                    max_session_len: 0,
+                    precision: Precision::F32,
+                })
+            });
         (epoch, version, snap)
     }
 
@@ -281,31 +291,127 @@ impl ModelBank {
     }
 }
 
-/// One enqueued session awaiting scoring.
-struct Job {
-    session: Session,
+/// One session's outcome, sent to the reply sink its [`Job`] carries;
+/// [`gather_replies`] reassembles a request from them.
+pub struct SessionReply {
+    /// The session's position in the caller's request.
+    slot: usize,
+    /// Snapshot version that scored (or shed) the session; `0` for an
+    /// empty session, which is answered without scoring.
+    model_version: u64,
+    /// The full score row, or why the session was shed.
+    row: Result<Vec<f32>, ServeError>,
+}
+
+/// One session bound for an engine queue ([`EngineHandle::enqueue`]). It
+/// carries everything a worker needs to answer it, so a job taken out of a
+/// closing engine ([`EngineHandle::close`]) can be enqueued into another
+/// engine as is.
+pub struct Job {
+    /// The session to score; routers shard on its `id`.
+    pub session: Session,
+    /// Position inside the originating request.
+    slot: usize,
+    /// Where the [`SessionReply`] goes.
+    reply: Sender<SessionReply>,
+    /// Queue-wait budget in microseconds (`0` = none): workers shed the job
+    /// unscored once `enqueued` exceeds it.
+    deadline_us: u64,
+    /// Started when the job was created; re-queueing keeps counting.
     enqueued: Stopwatch,
     /// Trace context of the originating request ([`TraceCtx::NONE`] when
     /// tracing was inactive at submit time).
     trace: TraceCtx,
-    /// [`trace::now_us`] at enqueue (0 when untraced); start of the job's
+    /// [`trace::now_us`] at creation (0 when untraced); start of the job's
     /// `queue_wait` phase.
     enqueued_us: u64,
-    /// Queue-wait budget in microseconds (`0` = none): workers shed the job
-    /// unscored once `enqueued` exceeds it.
-    deadline_us: u64,
-    /// Position inside the originating request.
-    slot: usize,
-    /// Replies carry the model version that scored (or shed) the job.
-    reply: Sender<(usize, u64, Result<Vec<f32>, ServeError>)>,
 }
 
-/// Queue state shared between the client thread and the workers.
+impl Job {
+    /// A job for the session at `slot` of a request, answered on `reply`.
+    /// Its `deadline_us` budget (`0` = none) counts from now. When `ctx`
+    /// is live and tracing is on, the worker emits the job's
+    /// `queue_wait` / `batch_assembly` / `scoring` spans under it.
+    pub fn new(
+        slot: usize,
+        session: Session,
+        deadline_us: u64,
+        ctx: TraceCtx,
+        reply: &Sender<SessionReply>,
+    ) -> Job {
+        let traced = !ctx.is_none() && trace::active();
+        Job {
+            session,
+            slot,
+            reply: reply.clone(),
+            deadline_us,
+            enqueued: Stopwatch::start(),
+            trace: ctx,
+            enqueued_us: if traced { trace::now_us() } else { 0 },
+        }
+    }
+
+    fn answer(self, model_version: u64, row: Result<Vec<f32>, ServeError>) {
+        // A receiver gone away just means the caller bailed out; drop the
+        // row rather than failing the worker.
+        let _ = self.reply.send(SessionReply {
+            slot: self.slot,
+            model_version,
+            row,
+        });
+    }
+}
+
+/// An [`EngineHandle::enqueue`] that took nothing: the reason, plus the
+/// jobs handed back untouched (a router re-routes them when the engine is
+/// closed).
+pub struct Refused {
+    /// [`ServeError::Overloaded`] from admission, or
+    /// [`ServeError::Unavailable`] when the engine is closed.
+    pub error: ServeError,
+    /// The caller's jobs, in order.
+    pub jobs: Vec<Job>,
+}
+
+/// Waits for the replies to sessions `0..n` on `replies` and reassembles
+/// the rows by slot, tagged with the newest contributing snapshot version
+/// (a request can straddle an activation). The first shed session fails
+/// the whole request; replies for its other sessions go to a dropped
+/// receiver, which workers tolerate. Fails with
+/// [`ServeError::Unavailable`] once every sender is gone with replies
+/// missing (the jobs were dropped unscored by a closing engine), or when
+/// the wait outlasts `stall_us` (`0` = no bound).
+pub fn gather_replies(
+    replies: &Receiver<SessionReply>,
+    n: usize,
+    stall_us: u64,
+) -> Result<(Vec<Vec<f32>>, u64), ServeError> {
+    let stall = Stopwatch::start();
+    let mut rows: Vec<Vec<f32>> = vec![Vec::new(); n];
+    let mut model_version = 0u64;
+    for _ in 0..n {
+        let reply = if stall_us == 0 {
+            replies.recv().ok()
+        } else {
+            let left = stall_us.saturating_sub(stall.elapsed_us());
+            replies.recv_timeout(Duration::from_micros(left)).ok()
+        };
+        let reply = reply.ok_or(ServeError::Unavailable)?;
+        rows[reply.slot] = reply.row?;
+        model_version = model_version.max(reply.model_version);
+    }
+    Ok((rows, model_version))
+}
+
+/// Queue state shared between clients and the workers.
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
     arrivals: Condvar,
-    /// Cleared on shutdown; workers drain the queue and exit.
+    /// Cleared, under the queue lock, when the engine closes; the queue of
+    /// a closed engine is empty and stays empty.
     open: AtomicBool,
+    /// Fault injection: artificial latency in front of every job, µs.
+    fault_delay_us: AtomicU64,
     /// Staged snapshot versions + the active flip (hot-swap control plane).
     bank: ModelBank,
     /// Session-repr cache, when [`EngineConfig::repr_cache`] > 0.
@@ -319,20 +425,59 @@ fn lock(shared: &Shared) -> MutexGuard<'_, VecDeque<Job>> {
     }
 }
 
-/// Handle for submitting requests to a running engine (see [`serve`]).
+impl Shared {
+    fn is_open(&self) -> bool {
+        // ordering: SeqCst — pairs with the store in `close`; a reader that
+        // sees the engine open may still race the close, which enqueue
+        // re-checks under the queue lock.
+        self.open.load(Ordering::SeqCst)
+    }
+
+    fn fault_delay_us(&self) -> u64 {
+        // ordering: Relaxed — a fault-injection knob; no data rides on it.
+        self.fault_delay_us.load(Ordering::Relaxed)
+    }
+
+    /// Closes the engine and takes its unscored backlog. Closing and
+    /// draining happen under one hold of the queue lock, so no job can
+    /// slip in between; every later enqueue is refused.
+    fn close(&self) -> Vec<Job> {
+        let backlog: Vec<Job> = {
+            let mut q = lock(self);
+            // ordering: SeqCst — the close must totally order against the
+            // workers' loads in `next_batch` and enqueue's check, both made
+            // under this lock; nothing weaker is worth reasoning out here.
+            self.open.store(false, Ordering::SeqCst);
+            q.drain(..).collect()
+        };
+        self.arrivals.notify_all();
+        backlog
+    }
+}
+
+/// Owned, cloneable handle for submitting requests to a running engine
+/// (see [`serve`]); cloning is cheap (an `Arc`), and any thread may hold
+/// one — this is how a front end on other threads reaches the engine.
 ///
-/// Both calls block until every session of the request is scored; sessions
-/// from concurrent callers coalesce into shared micro-batches. Empty
-/// sessions carry no evidence to score and are answered inline with an
-/// empty row (no recommendations for [`Client::top_k`]) — they never reach
-/// a scoring worker, so a malformed request cannot take the engine down.
-pub struct Client<'a> {
-    shared: &'a Shared,
-    signal: &'a AbortSignal,
+/// The blocking calls wait until every session of the request is scored;
+/// sessions from concurrent callers coalesce into shared micro-batches.
+/// Empty sessions carry no evidence to score and are answered inline with
+/// an empty row (no recommendations for [`EngineHandle::top_k`]) — they
+/// never reach a scoring worker, so a malformed request cannot take the
+/// engine down. Once the engine closes, every submit fails with
+/// [`ServeError::Unavailable`].
+#[derive(Clone)]
+pub struct EngineHandle {
+    shared: Arc<Shared>,
     cfg: EngineConfig,
 }
 
-impl Client<'_> {
+/// The engine handle as [`serve`] lends it to its master closure. The
+/// lifetime parameter constrains nothing — every handle is owned — and is
+/// kept so signatures naming `Client<'_>` keep compiling.
+pub type Client<'a> = EngineHandle;
+
+impl EngineHandle {
     /// Scores the full vocabulary for each session of the request.
     pub fn score(&self, req: ScoreBatch) -> ScoreResponse {
         // Infallible by construction: no deadline, no shedding.
@@ -346,26 +491,8 @@ impl Client<'_> {
     /// queued past `opts.deadline_us` is shed by the workers, failing the
     /// request with [`ServeError::DeadlineExpired`].
     pub fn try_score(&self, req: ScoreBatch, opts: SubmitOptions) -> Result<ScoreResponse, ServeError> {
-        self.try_score_in(req, opts, TraceCtx::NONE)
-    }
-
-    /// [`Client::try_score`] with an explicit trace parent: when `parent`
-    /// is a live [`TraceCtx`] the engine spans (`score_request` →
-    /// `queue_wait`/`batch_assembly`/`scoring`) nest under it instead of
-    /// opening a fresh trace — this is how a network front end stitches
-    /// engine work into its own request trees.
-    pub fn try_score_in(
-        &self,
-        req: ScoreBatch,
-        opts: SubmitOptions,
-        parent: TraceCtx,
-    ) -> Result<ScoreResponse, ServeError> {
-        let span = if parent.is_none() {
-            trace::root("score_request")
-        } else {
-            trace::child(parent, "score_request")
-        };
-        let (scores, model_version) = self.submit(req.sessions, span.ctx(), opts)?;
+        let root = trace::root("score_request");
+        let (scores, model_version) = self.submit(req.sessions, root.ctx(), opts)?;
         Ok(ScoreResponse {
             scores,
             model_version,
@@ -379,8 +506,8 @@ impl Client<'_> {
             .unwrap_or_default()
     }
 
-    /// [`Client::top_k`] under explicit admission/deadline control (see
-    /// [`Client::try_score`]).
+    /// [`EngineHandle::top_k`] under explicit admission/deadline control (see
+    /// [`EngineHandle::try_score`]).
     pub fn try_top_k(&self, req: TopK, opts: SubmitOptions) -> Result<TopKResponse, ServeError> {
         let root = trace::root("top_k_request");
         let (rows, model_version) = self.submit(req.sessions, root.ctx(), opts)?;
@@ -392,21 +519,14 @@ impl Client<'_> {
     }
 
     /// Stages serialized `EMBSRSNP` snapshot bytes under `version` without
-    /// touching live scoring; flip to it later with [`Client::activate`].
+    /// touching live scoring; flip to it later with [`EngineHandle::activate`].
     /// Staging an already-staged version replaces it (it only takes effect
     /// on the next activation).
     pub fn stage_snapshot(&self, version: u64, bytes: &[u8]) -> Result<(), SwapError> {
         let _span = embsr_obs::span("embsr_serve", "stage_snapshot");
         let dec = snapshot::decode_snapshot(bytes)
             .map_err(|e| SwapError::Malformed(e.to_string()))?;
-        self.shared.bank.stage(
-            version,
-            StagedSnapshot {
-                weights: dec.weights,
-                max_session_len: dec.max_session_len,
-                precision: dec.precision,
-            },
-        )
+        self.shared.bank.stage(version, dec)
     }
 
     /// Atomically makes a staged `version` the one scoring new batches.
@@ -414,15 +534,7 @@ impl Client<'_> {
     /// responses are tagged accordingly); no request is dropped or drained.
     pub fn activate(&self, version: u64) -> Result<(), SwapError> {
         let _span = embsr_obs::span("embsr_serve", "activate");
-        self.shared.bank.activate(version)?;
-        // Wake idle workers so they rebuild ahead of the next arrival.
-        self.shared.arrivals.notify_all();
-        Ok(())
-    }
-
-    /// The version tag new batches are scored under.
-    pub fn active_version(&self) -> u64 {
-        self.shared.bank.active_version()
+        self.shared.bank.activate(version)
     }
 
     /// Control-plane snapshot: active/staged versions + cache counters.
@@ -441,6 +553,79 @@ impl Client<'_> {
         }
     }
 
+    /// Pushes `jobs` into the queue without waiting for them; each answer
+    /// arrives on its job's reply sink (collect them with
+    /// [`gather_replies`]). With `shed`, the whole call is refused with
+    /// [`ServeError::Overloaded`] when the queue already holds
+    /// [`EngineConfig::queue_cap`] sessions. A closed engine refuses with
+    /// [`ServeError::Unavailable`]. Either way the jobs come back in the
+    /// [`Refused`].
+    pub fn enqueue(&self, jobs: Vec<Job>, shed: bool) -> Result<(), Refused> {
+        let depth = {
+            let mut q = lock(&self.shared);
+            if !self.shared.is_open() {
+                return Err(Refused {
+                    error: ServeError::Unavailable,
+                    jobs,
+                });
+            }
+            if shed && q.len() >= self.cfg.queue_cap {
+                let queued = q.len();
+                drop(q);
+                if embsr_obs::metrics::enabled() {
+                    embsr_obs::metrics::counter(METRIC_REJECTED).inc();
+                }
+                return Err(Refused {
+                    error: ServeError::Overloaded {
+                        queued,
+                        cap: self.cfg.queue_cap,
+                    },
+                    jobs,
+                });
+            }
+            for job in jobs {
+                if job.session.is_empty() {
+                    // Answered inline (see the type docs): workers assume
+                    // non-empty sessions.
+                    job.answer(0, Ok(Vec::new()));
+                } else {
+                    q.push_back(job);
+                }
+            }
+            q.len()
+        };
+        if embsr_obs::metrics::enabled() {
+            embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH).record(depth as u64);
+        }
+        self.shared.arrivals.notify_all();
+        Ok(())
+    }
+
+    /// Whether the engine still takes work.
+    pub fn is_open(&self) -> bool {
+        self.shared.is_open()
+    }
+
+    /// Closes the engine and returns its unscored backlog, for the caller
+    /// to enqueue elsewhere or drop (a dropped job fails its request with
+    /// [`ServeError::Unavailable`]). Batches already scoring finish and
+    /// answer normally; the workers then exit. Idempotent.
+    pub fn close(&self) -> Vec<Job> {
+        let _span = embsr_obs::span("embsr_serve", "engine_close");
+        self.shared.close()
+    }
+
+    /// Fault injection: makes every worker take queued jobs one at a time
+    /// and sleep `delay_us` before each job's deadline check, so the
+    /// backlog builds in the queue admission inspects. `0` heals.
+    pub fn set_fault_delay_us(&self, delay_us: u64) {
+        // ordering: Relaxed — a fault-injection knob; workers pick it up
+        // on their next batch, no data rides on it.
+        self.shared
+            .fault_delay_us
+            .store(delay_us, Ordering::Relaxed);
+    }
+
     fn submit(
         &self,
         sessions: Vec<Session>,
@@ -448,158 +633,79 @@ impl Client<'_> {
         opts: SubmitOptions,
     ) -> Result<(Vec<Vec<f32>>, u64), ServeError> {
         let n = sessions.len();
-        if n == 0 {
-            return Ok((Vec::new(), self.shared.bank.active_version()));
-        }
         let watch = Stopwatch::start();
-        let tracing = !ctx.is_none() && trace::active();
-        let (reply, replies) =
-            std::sync::mpsc::channel::<(usize, u64, Result<Vec<f32>, ServeError>)>();
-        let mut pending = 0usize;
-        let depth;
-        {
-            let mut q = lock(self.shared);
-            if opts.shed && q.len() >= self.cfg.queue_cap {
-                let queued = q.len();
-                drop(q);
-                if embsr_obs::metrics::enabled() {
-                    embsr_obs::metrics::counter(METRIC_REJECTED).inc();
-                }
-                return Err(ServeError::Overloaded {
-                    queued,
-                    cap: self.cfg.queue_cap,
-                });
-            }
-            for (slot, session) in sessions.into_iter().enumerate() {
-                if session.is_empty() {
-                    // Answered inline as an empty row (see the type docs):
-                    // workers assume non-empty sessions.
-                    continue;
-                }
-                pending += 1;
-                q.push_back(Job {
-                    session,
-                    enqueued: Stopwatch::start(),
-                    trace: ctx,
-                    enqueued_us: if tracing { trace::now_us() } else { 0 },
-                    deadline_us: opts.deadline_us,
-                    slot,
-                    reply: reply.clone(),
-                });
-            }
-            depth = q.len();
-        }
-        if embsr_obs::metrics::enabled() {
-            embsr_obs::metrics::histogram(METRIC_QUEUE_DEPTH).record(depth as u64);
-        }
-        self.shared.arrivals.notify_all();
+        let (reply, replies) = std::sync::mpsc::channel();
+        let jobs = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(slot, session)| Job::new(slot, session, opts.deadline_us, ctx, &reply))
+            .collect();
+        self.enqueue(jobs, opts.shed)
+            .map_err(|refused| refused.error)?;
         drop(reply);
-
-        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); n];
-        // Mixed-version batches can happen mid-swap; the response reports
-        // the newest contributing version.
-        let mut model_version = 0u64;
-        let mut received = 0;
-        while received < pending {
-            match replies.recv_timeout(Duration::from_millis(50)) {
-                Ok((slot, version, Ok(row))) => {
-                    rows[slot] = row;
-                    model_version = model_version.max(version);
-                    received += 1;
-                }
-                Ok((_, _, Err(e))) => {
-                    // One shed session fails the whole request: the caller
-                    // asked for a deadline and this reply is already late.
-                    // Replies for the request's other sessions go to a
-                    // dropped receiver, which workers tolerate.
-                    return Err(e);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !self.signal.is_aborted(),
-                        "serving worker died while scoring"
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every worker dropped its Sender clone: the pool is
-                    // tearing down after a worker panic, which the pool
-                    // re-raises once we return.
-                    assert!(
-                        received == pending,
-                        "serving workers disconnected with {received} of {pending} rows scored"
-                    );
-                }
-            }
-        }
+        let (rows, model_version) = gather_replies(&replies, n, 0)?;
         if embsr_obs::metrics::enabled() {
             embsr_obs::metrics::histogram(METRIC_REQUEST_LATENCY_US).record(watch.elapsed_us());
         }
-        if pending == 0 {
-            // Only empty sessions: nothing scored, tag the current version.
-            model_version = self.shared.bank.active_version();
-        }
+        // Only empty sessions: nothing scored, tag the current version.
+        let model_version = match model_version {
+            0 => self.shared.bank.active_version(),
+            v => v,
+        };
         Ok((rows, model_version))
     }
 }
 
-/// Drains the next micro-batch, or `None` when the engine has shut down and
-/// the queue is empty.
+/// Drains the next micro-batch, or `None` once the engine has closed.
 fn next_batch(shared: &Shared, cfg: &EngineConfig) -> Option<Vec<Job>> {
-    let deadline = Duration::from_micros(cfg.flush_deadline_us);
+    let flush = Duration::from_micros(cfg.flush_deadline_us);
     let mut q = lock(shared);
-    loop {
-        if let Some(oldest) = q.front() {
-            let waited = oldest.enqueued.elapsed();
-            // ordering: SeqCst — the open flag must totally order with the
-            // queue mutex and shutdown notify so a closing engine can never
-            // be seen as open after the final drain (see ShutdownGuard).
-            let closing = !shared.open.load(Ordering::SeqCst);
-            if q.len() >= cfg.max_batch || waited >= deadline || closing {
-                let take = q.len().min(cfg.max_batch);
-                return Some(q.drain(..take).collect());
-            }
-            // Hold the batch open for stragglers, but never past the
-            // flush deadline of its oldest session.
-            let (guard, _) = match shared.arrivals.wait_timeout(q, deadline - waited) {
-                Ok(pair) => pair,
+    // Every wait re-checks `open` under the lock `close` stores it under,
+    // so a close can never be missed between the check and the wait.
+    while shared.is_open() {
+        let Some(oldest) = q.front() else {
+            q = match shared.arrivals.wait(q) {
+                Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            q = guard;
+            continue;
+        };
+        // A delayed replica (fault injection) takes its jobs one at a time.
+        let take = if shared.fault_delay_us() > 0 {
+            1
         } else {
-            // ordering: SeqCst — pairs with ShutdownGuard's store; a worker
-            // holding the (empty) queue lock must observe the close or it
-            // would sleep through its own shutdown.
-            if !shared.open.load(Ordering::SeqCst) {
-                return None;
-            }
-            // Idle: sleep until an arrival (with a timeout so a missed
-            // shutdown notification cannot strand the worker).
-            let (guard, _) = match shared.arrivals.wait_timeout(q, Duration::from_millis(10)) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            q = guard;
+            cfg.max_batch.max(1)
+        };
+        let waited = oldest.enqueued.elapsed();
+        if q.len() >= take || waited >= flush {
+            let n = q.len().min(take);
+            return Some(q.drain(..n).collect());
         }
+        // Hold the batch open for stragglers, but never past the flush
+        // deadline of its oldest session.
+        q = match shared.arrivals.wait_timeout(q, flush - waited) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        };
     }
+    None
 }
 
-/// Closes the queue and wakes every worker when dropped.
+/// Closes the engine when dropped, dropping any backlog unscored.
 ///
-/// Shutdown must happen on *every* exit from the master closure — a master
-/// panic unwinds through [`run_with_workers`]' `catch_unwind` and then
-/// blocks in `thread::scope` joining workers, which would otherwise spin in
-/// [`next_batch`] forever (`open` still true, queue drained). Routing the
-/// store + notify through `Drop` makes the re-raise documented below
-/// reachable no matter how the master exits.
+/// The master holds one, so the engine closes on *every* exit from the
+/// master closure — a master panic unwinds through [`run_with_workers`]'
+/// `catch_unwind` and then blocks in `thread::scope` joining workers,
+/// which would otherwise wait in [`next_batch`] forever. Every worker
+/// holds one too, so a worker that dies mid-batch closes the engine: its
+/// queued jobs are dropped, their callers see [`ServeError::Unavailable`]
+/// instead of waiting on a queue nobody drains, and a router stops
+/// sending it work.
 struct ShutdownGuard<'a>(&'a Shared);
 
 impl Drop for ShutdownGuard<'_> {
     fn drop(&mut self) {
-        // ordering: SeqCst — the close must totally order against workers'
-        // loads in next_batch; a weaker store could let a worker re-check
-        // `open` after the wakeup and still read true, stranding it.
-        self.0.open.store(false, Ordering::SeqCst);
-        notify_shutdown(self.0);
+        drop(self.0.close());
     }
 }
 
@@ -608,8 +714,8 @@ impl Drop for ShutdownGuard<'_> {
 /// `cfg.workers` scoring threads each build a private model replica with
 /// `factory()` and load `frozen`'s weight snapshot into it; `master` runs
 /// on the calling thread with a [`Client`] for submitting requests. When
-/// `master` returns, the queue is flushed, the workers exit, and the
-/// master's value is returned.
+/// `master` returns, the engine closes, the workers exit, and the master's
+/// value is returned.
 ///
 /// # Panics
 /// Re-raises worker panics (e.g. a scoring failure), as
@@ -627,13 +733,14 @@ where
 {
     let _engine_span = embsr_obs::span("embsr_serve", "serve");
     let tier = frozen.tier();
-    let shared = Shared {
+    let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
         arrivals: Condvar::new(),
         open: AtomicBool::new(true),
+        fault_delay_us: AtomicU64::new(0),
         bank: ModelBank::new(
             cfg.initial_version,
-            StagedSnapshot {
+            DecodedSnapshot {
                 weights: frozen.snapshot().to_vec(),
                 max_session_len: frozen.max_session_len(),
                 precision: frozen.precision(),
@@ -644,10 +751,11 @@ where
         } else {
             None
         },
-    };
+    });
     run_with_workers(
         cfg.workers.max(1),
         |_worker_id| {
+            let _close_if_dying = ShutdownGuard(&shared);
             // replicas score on the master's kernel tier (snapshots are
             // already quantized, so weights match the master bitwise)
             let (mut local_epoch, mut local_version, snap) = shared.bank.active_state();
@@ -656,6 +764,14 @@ where
             replica.set_tier(tier);
             drop(snap);
             while let Some(batch) = next_batch(&shared, &cfg) {
+                let delay_us = shared.fault_delay_us();
+                if delay_us > 0 {
+                    // Fault injection: a slow replica. Sleeping *before* the
+                    // deadline check turns the injected latency into
+                    // observable `DeadlineExpired` errors, not silent
+                    // slowness.
+                    std::thread::sleep(Duration::from_micros(delay_us));
+                }
                 // Hot-swap seam: rebuild this replica when an activation
                 // moved the epoch since the last batch. The batch drained
                 // above scores under the *new* version; batches drained
@@ -693,11 +809,10 @@ where
                         if tracing && job.enqueued_us != 0 {
                             trace::emit_span(job.trace, "queue_wait", job.enqueued_us, drained_us);
                         }
-                        let _ = job.reply.send((
-                            job.slot,
+                        job.answer(
                             local_version,
                             Err(ServeError::DeadlineExpired { waited_us }),
-                        ));
+                        );
                     } else {
                         live.push(job);
                     }
@@ -717,37 +832,32 @@ where
                         .record(live.len() as u64);
                     embsr_obs::metrics::counter(METRIC_SESSIONS_SCORED).add(live.len() as u64);
                 }
+                let mut traced = Vec::new();
                 for (job, row) in live.into_iter().zip(rows) {
                     if tracing && job.enqueued_us != 0 {
-                        // One shared batch timeline, attributed to every
-                        // request that rode in it.
-                        trace::emit_span(job.trace, "queue_wait", job.enqueued_us, drained_us);
-                        trace::emit_span(job.trace, "batch_assembly", drained_us, assembled_us);
-                        trace::emit_span(job.trace, "scoring", assembled_us, scored_us);
+                        traced.push((job.trace, job.enqueued_us));
                     }
-                    // A receiver gone away just means the caller bailed out;
-                    // drop its rows rather than killing the worker.
-                    let _ = job.reply.send((job.slot, local_version, Ok(row)));
+                    job.answer(local_version, Ok(row));
+                }
+                // One shared batch timeline, attributed to every request
+                // that rode in it; emitted after the replies so trace I/O
+                // never delays a caller.
+                for (ctx, enqueued_us) in traced {
+                    trace::emit_span(ctx, "queue_wait", enqueued_us, drained_us);
+                    trace::emit_span(ctx, "batch_assembly", drained_us, assembled_us);
+                    trace::emit_span(ctx, "scoring", assembled_us, scored_us);
                 }
             }
         },
-        |signal| {
+        |_signal| {
             let _shutdown = ShutdownGuard(&shared);
-            let client = Client {
-                shared: &shared,
-                signal,
+            let client = EngineHandle {
+                shared: Arc::clone(&shared),
                 cfg,
             };
             master(&client)
         },
     )
-}
-
-fn notify_shutdown(shared: &Shared) {
-    // Take the lock so no worker can check `open` between its queue
-    // inspection and its wait — the wake-up cannot be missed.
-    drop(lock(shared));
-    shared.arrivals.notify_all();
 }
 
 #[cfg(test)]
@@ -1131,5 +1241,77 @@ mod tests {
         // the warm pass alone replays three sessions whose reprs are resident
         assert!(status.cache.hits >= 3, "expected warm hits: {:?}", status.cache);
         assert!(status.cache.entries >= 1);
+    }
+
+    #[test]
+    fn closed_engine_hands_its_backlog_to_another_engine() {
+        let f = frozen(6, 21);
+        let sessions = vec![sess(&[1, 2]), sess(&[3])];
+        let want = f.score_batch(&sessions);
+        // An unfillable batch held open far longer than the test runs:
+        // enqueued jobs stay queued until the close takes them out.
+        let held = EngineConfig {
+            workers: 1,
+            max_batch: 64,
+            flush_deadline_us: 60_000_000,
+            ..EngineConfig::default()
+        };
+        let (rows, version, late) = serve(&f, || ToyModel::new(6, 0), held, |a| {
+            serve(&f, || ToyModel::new(6, 0), EngineConfig::default(), |b| {
+                let (reply, replies) = std::sync::mpsc::channel();
+                let jobs = sessions
+                    .iter()
+                    .cloned()
+                    .enumerate()
+                    .map(|(slot, s)| Job::new(slot, s, 0, TraceCtx::NONE, &reply))
+                    .collect();
+                assert!(a.enqueue(jobs, false).is_ok(), "open engine takes the jobs");
+                drop(reply);
+                let backlog = a.close();
+                assert_eq!(backlog.len(), 2, "the unscored backlog comes back");
+                assert!(!a.is_open());
+                let refused = a.enqueue(backlog, false).expect_err("closed engine refuses");
+                assert_eq!(refused.error, ServeError::Unavailable);
+                assert!(b.enqueue(refused.jobs, false).is_ok());
+                let (rows, version) = gather_replies(&replies, 2, 0).expect("b answers a's jobs");
+                let late = a.try_score(
+                    ScoreBatch {
+                        sessions: sessions.clone(),
+                    },
+                    SubmitOptions::default(),
+                );
+                (rows, version, late)
+            })
+        });
+        assert_eq!(rows, want, "re-queued jobs answer on their original sink");
+        assert_eq!(version, 1);
+        assert_eq!(late, Err(ServeError::Unavailable));
+    }
+
+    #[test]
+    fn worker_panic_closes_the_engine_instead_of_stranding_requests() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let f = frozen(4, 2);
+        let cfg = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let seen = Mutex::new(None);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            serve(&f, || ToyModel::new(4, 0), cfg, |client| {
+                // Item 9 is outside the 4-item vocabulary: the scoring
+                // worker panics mid-batch.
+                let got = client.try_score(
+                    ScoreBatch {
+                        sessions: vec![sess(&[9])],
+                    },
+                    SubmitOptions::default(),
+                );
+                *seen.lock().unwrap_or_else(|e| e.into_inner()) = Some((got, client.is_open()));
+            })
+        }));
+        assert!(err.is_err(), "the worker panic propagates out of serve");
+        let seen = seen.into_inner().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(seen, Some((Err(ServeError::Unavailable), false)));
     }
 }

@@ -17,7 +17,10 @@
 //!   queue-depth land in `embsr_obs` histograms, and when request tracing
 //!   is on ([`embsr_obs::trace`]) every request emits a reconstructable
 //!   span tree (`score_request` → `queue_wait` / `batch_assembly` /
-//!   `scoring`, plus `top_k` selection).
+//!   `scoring`, plus `top_k` selection). Its queue is the only queue on
+//!   the serving path: front ends push [`Job`]s straight into it through
+//!   an owned [`EngineHandle`] ([`Client::enqueue`]) and collect the
+//!   per-session replies with [`gather_replies`].
 //!
 //! Serving defaults to the **vectorized kernel tier** with optional
 //! f16/bf16 frozen snapshots ([`snapshot`]). The equivalence contract is
@@ -39,8 +42,8 @@ pub use cache::{
     METRIC_CACHE_MISSES,
 };
 pub use engine::{
-    serve, Client, EngineConfig, EngineStatus, ServeError, SubmitOptions, SwapError,
-    METRIC_BATCH_SESSIONS, METRIC_DEADLINE_EXPIRED, METRIC_QUEUE_DEPTH, METRIC_REJECTED,
+    gather_replies, serve, Client, EngineConfig, EngineHandle, EngineStatus, Job, Refused,
+    ServeError, SessionReply, SubmitOptions, SwapError, METRIC_BATCH_SESSIONS, METRIC_DEADLINE_EXPIRED, METRIC_QUEUE_DEPTH, METRIC_REJECTED,
     METRIC_REQUEST_LATENCY_US, METRIC_SESSIONS_SCORED, METRIC_SNAPSHOT_SWAPS,
 };
 pub use frozen::FrozenModel;
