@@ -60,24 +60,6 @@ impl Bert4Rec {
         let att = q.matmul(&k.transpose()).mul_scalar(scale).softmax_rows();
         att.matmul(&v).add(x) // residual
     }
-
-    /// Hidden state at the appended `[MASK]` position (`[d]`).
-    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let mut idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
-        assert!(!idx.is_empty(), "empty session");
-        if idx.len() > self.max_len {
-            idx.drain(..idx.len() - self.max_len);
-        }
-        idx.push(self.mask_id());
-        let n = idx.len();
-        let pos: Vec<usize> = (0..n).collect();
-        let mut ctx = ModuleCtx::new(training, rng);
-        let mut x = self.items.lookup(&idx).add(&self.positions.lookup(&pos));
-        for _ in 0..self.blocks {
-            x = self.ffn.forward(&self.block(&x), &mut ctx);
-        }
-        x.row(n - 1)
-    }
 }
 
 impl SessionModel for Bert4Rec {
@@ -99,22 +81,27 @@ impl SessionModel for Bert4Rec {
         p
     }
 
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        // score only real items (drop the mask row of the table)
-        let real_items = self.items.weight.slice_rows(0, self.num_items);
-        DotScorer::logits(&self.session_repr(session, training, rng), &real_items)
+    /// Hidden state at the appended `[MASK]` position (`[d]`).
+    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        let mut idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
+        assert!(!idx.is_empty(), "empty session");
+        if idx.len() > self.max_len {
+            idx.drain(..idx.len() - self.max_len);
+        }
+        idx.push(self.mask_id());
+        let n = idx.len();
+        let pos: Vec<usize> = (0..n).collect();
+        let mut ctx = ModuleCtx::new(training, rng);
+        let mut x = self.items.lookup(&idx).add(&self.positions.lookup(&pos));
+        for _ in 0..self.blocks {
+            x = self.ffn.forward(&self.block(&x), &mut ctx);
+        }
+        x.row(n - 1)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        // the mask-row slice is computed once and amortized across the batch
-        let real_items = self.items.weight.slice_rows(0, self.num_items);
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &real_items)
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        // score only real items (drop the mask row of the table)
+        DotScorer::logits_rows(reprs, &self.items.weight.slice_rows(0, self.num_items))
     }
 }
 

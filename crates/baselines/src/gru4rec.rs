@@ -25,14 +25,6 @@ impl Gru4Rec {
             num_items,
         }
     }
-
-    /// Last GRU hidden state over the macro-item sequence (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
-        let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
-        assert!(!idx.is_empty(), "empty session");
-        let embs = self.items.lookup(&idx);
-        self.gru.last_state(&embs)
-    }
 }
 
 impl SessionModel for Gru4Rec {
@@ -50,22 +42,16 @@ impl SessionModel for Gru4Rec {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
+    /// Last GRU hidden state over the macro-item sequence (`[d]`).
+    fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
+        assert!(!idx.is_empty(), "empty session");
+        let embs = self.items.lookup(&idx);
+        self.gru.last_state(&embs)
     }
 
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        Some(self.session_repr(session))
-    }
-
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(DotScorer::logits_rows(reprs, &self.items.weight))
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        DotScorer::logits_rows(reprs, &self.items.weight)
     }
 }
 

@@ -39,6 +39,26 @@ impl Narm {
             dim,
         }
     }
+}
+
+impl SessionModel for Narm {
+    fn name(&self) -> &str {
+        "NARM"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        p.extend(self.gru.parameters());
+        p.extend(self.att_hidden.parameters());
+        p.extend(self.att_last.parameters());
+        p.push(self.v.clone());
+        p.extend(self.project.parameters());
+        p
+    }
 
     /// Projected `[c_global ; h_last]` session representation (`[d]`).
     fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
@@ -66,49 +86,9 @@ impl Narm {
             &mut ctx,
         )
     }
-}
 
-impl SessionModel for Narm {
-    fn name(&self) -> &str {
-        "NARM"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        p.extend(self.gru.parameters());
-        p.extend(self.att_hidden.parameters());
-        p.extend(self.att_last.parameters());
-        p.push(self.v.clone());
-        p.extend(self.project.parameters());
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let c = self.session_repr(session, training, rng);
-        DotScorer::logits(&c, &self.items.weight)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        Some(self.session_repr(session, false, &mut rng))
-    }
-
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(DotScorer::logits_rows(reprs, &self.items.weight))
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        DotScorer::logits_rows(reprs, &self.items.weight)
     }
 }
 

@@ -68,6 +68,38 @@ impl SgnnHn {
             max_len,
         }
     }
+}
+
+impl SessionModel for SgnnHn {
+    fn name(&self) -> &str {
+        "SGNN-HN"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        p.extend(self.positions.parameters());
+        for l in [
+            &self.proj_in,
+            &self.proj_out,
+            &self.pos_proj,
+            &self.att_w1,
+            &self.att_w2,
+            &self.att_w3,
+            &self.combine,
+        ] {
+            p.extend(l.parameters());
+        }
+        p.extend(self.cell.parameters());
+        p.extend(self.star_gate.parameters());
+        p.extend(self.star_attn.parameters());
+        p.extend(self.highway.parameters());
+        p.push(self.q.clone());
+        p
+    }
 
     /// Combined star-graph session representation `m` (`[d]`).
     fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
@@ -111,53 +143,9 @@ impl SgnnHn {
         let s_g = alpha_full.mul(&with_pos).sum_rows();
         self.combine.apply(&s_g.concat_cols(&last))
     }
-}
 
-impl SessionModel for SgnnHn {
-    fn name(&self) -> &str {
-        "SGNN-HN"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        p.extend(self.positions.parameters());
-        for l in [
-            &self.proj_in,
-            &self.proj_out,
-            &self.pos_proj,
-            &self.att_w1,
-            &self.att_w2,
-            &self.att_w3,
-            &self.combine,
-        ] {
-            p.extend(l.parameters());
-        }
-        p.extend(self.cell.parameters());
-        p.extend(self.star_gate.parameters());
-        p.extend(self.star_attn.parameters());
-        p.extend(self.highway.parameters());
-        p.push(self.q.clone());
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        self.scorer
-            .logits(&self.session_repr(session, training, rng), &self.items.weight)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        self.scorer
-            .logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        self.scorer.logits_rows(reprs, &self.items.weight)
     }
 }
 

@@ -41,9 +41,28 @@ impl Stamp {
             dim,
         }
     }
+}
+
+impl SessionModel for Stamp {
+    fn name(&self) -> &str {
+        "STAMP"
+    }
+
+    fn num_items(&self) -> usize {
+        self.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        let mut p = self.items.parameters();
+        for l in [&self.w1, &self.w2, &self.w3, &self.mlp_a, &self.mlp_b] {
+            p.extend(l.parameters());
+        }
+        p.push(self.w0.clone());
+        p
+    }
 
     /// Trilinear session representation `h_s ⊙ h_t` (`[d]`).
-    fn session_repr(&self, session: &Session) -> Tensor {
+    fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.macro_items().iter().map(|&i| i as usize).collect();
         assert!(!idx.is_empty(), "empty session");
         let n = idx.len();
@@ -68,34 +87,9 @@ impl Stamp {
         let h_t = self.mlp_b.apply(&x_t).tanh();
         h_s.mul(&h_t)
     }
-}
 
-impl SessionModel for Stamp {
-    fn name(&self) -> &str {
-        "STAMP"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.items.parameters();
-        for l in [&self.w1, &self.w2, &self.w3, &self.mlp_a, &self.mlp_b] {
-            p.extend(l.parameters());
-        }
-        p.push(self.w0.clone());
-        p
-    }
-
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
-        DotScorer::logits(&self.session_repr(session), &self.items.weight)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.session_repr(s)).collect();
-        DotScorer::logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        DotScorer::logits_rows(reprs, &self.items.weight)
     }
 }
 

@@ -16,7 +16,7 @@
 //!
 //! 1. `calibrate` — closed-loop burst that measures the deployment's
 //!    capacity (sessions/s) for the phases below;
-//! 1b. `multiplex A/B` — the same closed loop on two fixed connections at
+//!    1b. `multiplex A/B` — the same closed loop on two fixed connections at
 //!    pipeline depth 1 vs 8: the throughput ratio is what request-id
 //!    multiplexing buys over serial request/response;
 //! 2. `steady` — open loop at ~0.5× capacity: everything should complete,

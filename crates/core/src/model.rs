@@ -251,13 +251,63 @@ impl Embsr {
         let eo = self.ops.lookup(&ops); // [t, d]
         self.rnn.apply(&ev.concat_cols(&eo)) // [t, d]
     }
+}
+
+impl SessionModel for Embsr {
+    fn name(&self) -> &str {
+        &self.cfg.name
+    }
+
+    fn num_items(&self) -> usize {
+        self.cfg.num_items
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        // Only the modules the configured forward pass can reach are handed
+        // to the optimizer; anything else would be a detached parameter that
+        // silently never trains (and that the graph validator flags). The
+        // conditions below mirror `session_repr` exactly: checkpoints stay
+        // positionally consistent because save and load share the config.
+        let star = self.cfg.backbone == Backbone::StarGnn;
+        let op_gru_active = star && self.cfg.use_op_gru;
+        let abs_op_active = self.cfg.use_abs_op && self.cfg.backbone != Backbone::Rnn;
+        let ops_active = self.cfg.backbone == Backbone::Rnn
+            || op_gru_active
+            || abs_op_active
+            || (self.cfg.use_attention && self.cfg.use_abs_op);
+
+        let mut modules: Vec<&dyn Module> = vec![&self.items];
+        if ops_active {
+            modules.push(&self.ops);
+        }
+        if op_gru_active {
+            modules.push(&self.op_gru);
+        }
+        if star {
+            modules.push(&self.msg_in);
+            modules.push(&self.msg_out);
+            modules.push(&self.ggnn);
+            modules.push(&self.star_gate);
+            modules.push(&self.star_attn);
+            modules.push(&self.highway);
+        }
+        if self.cfg.use_attention {
+            modules.push(&self.attention);
+            modules.push(&self.ffn);
+        }
+        let mut p: Vec<Tensor> = modules.iter().flat_map(|m| m.parameters()).collect();
+        p.extend(self.fusion.parameters());
+        if self.cfg.backbone == Backbone::Rnn {
+            p.extend(self.rnn.parameters());
+        }
+        if self.cfg.use_op_weighting && (op_gru_active || abs_op_active) {
+            p.push(self.op_importance.clone());
+        }
+        p
+    }
 
     /// Everything before scoring: encodes the (internally truncated) session
     /// into the fused representation `m ∈ [d]` of eq. 18.
-    ///
-    /// [`SessionModel::logits`] scores one representation at a time;
-    /// [`SessionModel::logits_batch`] stacks many and amortizes the scorer's
-    /// item-table normalization across the batch.
     fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
         assert!(!session.is_empty(), "representation of an empty session");
         let sess = embsr_train::truncate_session(session, self.cfg.max_len);
@@ -305,86 +355,9 @@ impl Embsr {
         // --- fusion (eq. 18) ----------------------------------------------
         self.fusion.fuse(&z_s, &x_t)
     }
-}
 
-impl SessionModel for Embsr {
-    fn name(&self) -> &str {
-        &self.cfg.name
-    }
-
-    fn num_items(&self) -> usize {
-        self.cfg.num_items
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        // Only the modules the configured forward pass can reach are handed
-        // to the optimizer; anything else would be a detached parameter that
-        // silently never trains (and that the graph validator flags). The
-        // conditions below mirror `logits` exactly: checkpoints stay
-        // positionally consistent because save and load share the config.
-        let star = self.cfg.backbone == Backbone::StarGnn;
-        let op_gru_active = star && self.cfg.use_op_gru;
-        let abs_op_active = self.cfg.use_abs_op && self.cfg.backbone != Backbone::Rnn;
-        let ops_active = self.cfg.backbone == Backbone::Rnn
-            || op_gru_active
-            || abs_op_active
-            || (self.cfg.use_attention && self.cfg.use_abs_op);
-
-        let mut modules: Vec<&dyn Module> = vec![&self.items];
-        if ops_active {
-            modules.push(&self.ops);
-        }
-        if op_gru_active {
-            modules.push(&self.op_gru);
-        }
-        if star {
-            modules.push(&self.msg_in);
-            modules.push(&self.msg_out);
-            modules.push(&self.ggnn);
-            modules.push(&self.star_gate);
-            modules.push(&self.star_attn);
-            modules.push(&self.highway);
-        }
-        if self.cfg.use_attention {
-            modules.push(&self.attention);
-            modules.push(&self.ffn);
-        }
-        let mut p: Vec<Tensor> = modules.iter().flat_map(|m| m.parameters()).collect();
-        p.extend(self.fusion.parameters());
-        if self.cfg.backbone == Backbone::Rnn {
-            p.extend(self.rnn.parameters());
-        }
-        if self.cfg.use_op_weighting && (op_gru_active || abs_op_active) {
-            p.push(self.op_importance.clone());
-        }
-        p
-    }
-
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-        let m = self.session_repr(session, training, rng);
-        self.scorer.logits(&m, &self.items.weight) // (eq. 19)
-    }
-
-    fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
-        assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        let reprs: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| self.session_repr(s, false, &mut rng))
-            .collect();
-        // One GEMM scores the whole batch; the item table is normalized once
-        // instead of once per session.
-        self.scorer
-            .logits_rows(&Tensor::stack_rows(&reprs), &self.items.weight)
-    }
-
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let mut rng = Rng::seed_from_u64(0); // dropout is off: never drawn from
-        Some(self.session_repr(session, false, &mut rng))
-    }
-
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(self.scorer.logits_rows(reprs, &self.items.weight))
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        self.scorer.logits_rows(reprs, &self.items.weight) // (eq. 19)
     }
 }
 

@@ -57,7 +57,7 @@ fn saturation_yields_overloaded_never_silent_drops() {
             let oks = &oks;
             let overloaded = &overloaded;
             scope.spawn(move || {
-                let mut client = NetClient::connect(server.addr()).expect("connect");
+                let client = NetClient::connect(server.addr()).expect("connect");
                 for r in 0..per_client {
                     let s = sessions[(c * per_client + r) % sessions.len()].clone();
                     match client.score(
@@ -111,7 +111,7 @@ fn client_observed_rejections_match_server_counters_exactly() {
             let sessions = &sessions;
             let client_seen = &client_seen;
             scope.spawn(move || {
-                let mut client = NetClient::connect(server.addr()).expect("connect");
+                let client = NetClient::connect(server.addr()).expect("connect");
                 for r in 0..6usize {
                     let s = sessions[(c * 6 + r) % sessions.len()].clone();
                     let _ = client.score(
@@ -149,7 +149,7 @@ fn backoff_retry_succeeds_once_load_subsides() {
     std::thread::scope(|scope| {
         for blocker in 0..2u64 {
             scope.spawn(move || {
-                let mut client = NetClient::connect(addr).expect("connect");
+                let client = NetClient::connect(addr).expect("connect");
                 // Non-shedding: these occupy the dispatcher + queue slot.
                 let resp = client.score(
                     &ScoreBatch {
@@ -166,7 +166,7 @@ fn backoff_retry_succeeds_once_load_subsides() {
         // Phase 2 — a shedding client retries with backoff. Its first
         // attempts land on the full queue (Overloaded); as A and B drain,
         // a retry is admitted and succeeds.
-        let mut client = NetClient::connect(addr).expect("connect");
+        let client = NetClient::connect(addr).expect("connect");
         let policy = RetryPolicy {
             max_retries: 200,
             base_backoff_us: 2_000,

@@ -46,19 +46,15 @@ impl SessionModel for ToyModel {
     fn parameters(&self) -> Vec<Tensor> {
         vec![self.weight.clone()]
     }
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+    // The "representation" is the logits row and the final projection is
+    // the identity, so the engine-level repr cache engages in networked
+    // tests.
+    fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
         self.weight.gather_rows(&idx).mean_rows()
     }
-    // The repr seam, trivially: the "representation" is the logits row and
-    // the final projection is the identity, which satisfies the bitwise
-    // factoring contract and lets the engine-level repr cache engage in
-    // networked tests.
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        Some(self.logits_infer(session))
-    }
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        Some(reprs.clone())
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        reprs.clone()
     }
 }
 

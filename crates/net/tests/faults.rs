@@ -93,7 +93,7 @@ fn replica_death_mid_load_reroutes_with_zero_wrong_answers() {
             let errors = &errors;
             let oks = &oks;
             scope.spawn(move || {
-                let mut client = NetClient::connect(server.addr()).expect("connect");
+                let client = NetClient::connect(server.addr()).expect("connect");
                 for (batch, expected) in rounds {
                     let batch = batch.clone();
                     match client.score(
@@ -135,7 +135,7 @@ fn replica_death_mid_load_reroutes_with_zero_wrong_answers() {
     assert!(errs <= total / 2, "errors stay bounded under one replica death: {errs}");
 
     // Post-kill traffic (now over 2 replicas) still scores bitwise.
-    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let client = NetClient::connect(server.addr()).expect("connect");
     let batch: Vec<Session> = sessions[..5].to_vec();
     let expected = frozen.score_batch(&batch);
     let resp = client
@@ -193,7 +193,7 @@ fn slow_replica_yields_deadline_expiry_not_hangs() {
         shed: true,
     };
 
-    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let client = NetClient::connect(server.addr()).expect("connect");
     let watch = Stopwatch::start();
 
     // The slow replica's sessions expire...
@@ -245,7 +245,7 @@ fn server_drop_mid_request_is_a_clean_connection_error() {
     let (server, _frozen) = start_server(2, 5);
     let addr = server.addr();
 
-    let mut client = NetClient::connect(addr).expect("connect");
+    let client = NetClient::connect(addr).expect("connect");
     // Prove the connection works, then tear the server down under it.
     client
         .score(
@@ -284,7 +284,7 @@ fn shutdown_joins_every_thread_no_leaks() {
     for round in 0..3 {
         let (server, frozen) = start_server(3, 13 + round);
         let sessions = session_pool(12, NUM_ITEMS as u32, round);
-        let mut client = NetClient::connect(server.addr()).expect("connect");
+        let client = NetClient::connect(server.addr()).expect("connect");
         let expected = frozen.score_batch(&sessions[..4]);
         let resp = client
             .score(

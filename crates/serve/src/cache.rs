@@ -5,8 +5,9 @@
 //! The cache stores the model's *representation* `[d]` (the input of the
 //! final GEMM), not the `|V|`-length score row — at `d = 32` and
 //! `|V| = 2048` that is 64× less memory per entry, and the GEMM it feeds
-//! is exactly the one `logits_batch` runs, so cached and uncached scores
-//! are **bitwise identical** (the serving equivalence suite pins this).
+//! (`SessionModel::logits_of_reprs`) is exactly the one uncached scoring
+//! runs, so cached and uncached scores are **bitwise identical** for every
+//! neural model (the serving equivalence suite pins this).
 //!
 //! Correctness does not rest on the hash: every entry also stores the
 //! exact truncated event sequence it was computed from, and a lookup whose

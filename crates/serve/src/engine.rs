@@ -10,7 +10,7 @@
 //! The engine's queue is the only queue on the serving path. It owns
 //! admission ([`EngineConfig::queue_cap`]), deadline shedding
 //! ([`SubmitOptions::deadline_us`]) and the backlog a closing engine hands
-//! back. Besides the blocking calls, an [`EngineHandle`] (the [`Client`]
+//! back. Besides the blocking calls, an [`EngineHandle`] (the handle
 //! that `serve` lends its master closure) offers a non-blocking
 //! [`EngineHandle::enqueue`] of [`Job`]s, each carrying its own reply
 //! sink: a front end (the `embsr-net` router) clones the handle, pushes
@@ -86,9 +86,8 @@ pub struct EngineConfig {
     /// [`ServeError::Overloaded`]. Non-shedding submits ignore the cap.
     pub queue_cap: usize,
     /// Entry capacity of the session-repr cache shared by this engine's
-    /// workers; `0` (the default) disables caching. Only models exposing
-    /// the repr seam ([`SessionModel::repr_infer`]) are cached — others
-    /// fall back to uncached scoring transparently.
+    /// workers; `0` (the default) disables caching. When on, every
+    /// session's representation ([`SessionModel::repr_infer`]) is cached.
     pub repr_cache: usize,
     /// Version tag of the snapshot the engine starts serving; responses
     /// carry the tag of the snapshot that scored them.
@@ -472,11 +471,6 @@ pub struct EngineHandle {
     cfg: EngineConfig,
 }
 
-/// The engine handle as [`serve`] lends it to its master closure. The
-/// lifetime parameter constrains nothing — every handle is owned — and is
-/// kept so signatures naming `Client<'_>` keep compiling.
-pub type Client<'a> = EngineHandle;
-
 impl EngineHandle {
     /// Scores the full vocabulary for each session of the request.
     pub fn score(&self, req: ScoreBatch) -> ScoreResponse {
@@ -713,7 +707,7 @@ impl Drop for ShutdownGuard<'_> {
 ///
 /// `cfg.workers` scoring threads each build a private model replica with
 /// `factory()` and load `frozen`'s weight snapshot into it; `master` runs
-/// on the calling thread with a [`Client`] for submitting requests. When
+/// on the calling thread with an [`EngineHandle`] for submitting requests. When
 /// `master` returns, the engine closes, the workers exit, and the master's
 /// value is returned.
 ///
@@ -725,7 +719,7 @@ pub fn serve<M, F, R>(
     frozen: &FrozenModel<M>,
     factory: F,
     cfg: EngineConfig,
-    master: impl FnOnce(&Client<'_>) -> R,
+    master: impl FnOnce(&EngineHandle) -> R,
 ) -> R
 where
     M: SessionModel,
@@ -863,7 +857,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{sess, ReprToyModel, ToyModel};
+    use crate::testing::{sess, ToyModel};
 
     fn frozen(n: usize, seed: u64) -> FrozenModel<ToyModel> {
         FrozenModel::freeze(ToyModel::new(n, seed), 32)
@@ -1208,7 +1202,7 @@ mod tests {
 
     #[test]
     fn repr_cache_keeps_scores_bitwise_and_records_hits() {
-        let f = FrozenModel::freeze(ReprToyModel(ToyModel::new(6, 9)), 32);
+        let f = FrozenModel::freeze(ToyModel::new(6, 9), 32);
         let sessions = vec![sess(&[1, 2]), sess(&[3, 4]), sess(&[1, 2])];
         let want = f.score_batch(&sessions);
         let cfg = EngineConfig {
@@ -1217,7 +1211,7 @@ mod tests {
         };
         let (cold, warm, status) = serve(
             &f,
-            || ReprToyModel(ToyModel::new(6, 9)),
+            || ToyModel::new(6, 9),
             cfg,
             |client| {
                 let cold = client.score(ScoreBatch {

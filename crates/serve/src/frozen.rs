@@ -1,6 +1,5 @@
 //! Frozen model snapshots for inference.
 
-use std::cell::Cell;
 use std::io;
 use std::path::Path;
 
@@ -40,9 +39,6 @@ pub struct FrozenModel<M: SessionModel> {
     max_session_len: usize,
     tier: KernelTier,
     precision: Precision,
-    /// Whether the model exposes the repr seam (`SessionModel::repr_infer`),
-    /// probed lazily on the first cached scoring call. `None` = unknown.
-    repr_capable: Cell<Option<bool>>,
 }
 
 impl<M: SessionModel> FrozenModel<M> {
@@ -71,7 +67,6 @@ impl<M: SessionModel> FrozenModel<M> {
             max_session_len,
             tier: KernelTier::Simd,
             precision,
-            repr_capable: Cell::new(None),
         }
     }
 
@@ -87,7 +82,6 @@ impl<M: SessionModel> FrozenModel<M> {
             max_session_len,
             tier: KernelTier::Simd,
             precision: Precision::F32,
-            repr_capable: Cell::new(None),
         }
     }
 
@@ -224,15 +218,11 @@ impl<M: SessionModel> FrozenModel<M> {
     /// empty row (mirroring the eval harness, which skips empty prefixes)
     /// rather than tripping a model assert on a serving thread.
     pub fn score(&self, session: &Session) -> Vec<f32> {
-        if session.is_empty() {
-            return Vec::new();
-        }
         let _span =
             embsr_obs::span("embsr_serve", "score").with_close_level(embsr_obs::Level::Trace);
-        let truncated = truncate_session(session, self.max_session_len);
-        kernels::with_tier(self.tier, || {
-            inference_mode(|| self.model.logits_infer(&truncated)).to_vec()
-        })
+        self.score_rows(std::slice::from_ref(session), None)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Scores the full vocabulary for a batch of sessions, tape-free and
@@ -246,33 +236,7 @@ impl<M: SessionModel> FrozenModel<M> {
     pub fn score_batch(&self, sessions: &[Session]) -> Vec<Vec<f32>> {
         let _span = embsr_obs::span("embsr_serve", "score_batch")
             .with_close_level(embsr_obs::Level::Trace);
-        let truncated: Vec<Session> = sessions
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| truncate_session(s, self.max_session_len))
-            .collect();
-        if truncated.is_empty() {
-            return sessions.iter().map(|_| Vec::new()).collect();
-        }
-        let refs: Vec<&Session> = truncated.iter().collect();
-        let logits =
-            kernels::with_tier(self.tier, || inference_mode(|| self.model.logits_batch(&refs)));
-        let v = self.model.num_items();
-        assert_eq!(logits.rows(), refs.len(), "one logit row per session");
-        assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        // One chunk per non-empty session, guaranteed by the row assert above.
-        let mut scored = flat.chunks(v).map(|row| row.to_vec());
-        sessions
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    Vec::new()
-                } else {
-                    scored.next().unwrap_or_default()
-                }
-            })
-            .collect()
+        self.score_rows(sessions, None)
     }
 
     /// [`FrozenModel::score_batch`] through the session-repr cache: each
@@ -285,19 +249,24 @@ impl<M: SessionModel> FrozenModel<M> {
     /// same tier. Hits replay the exact `f32` values the encoder produced
     /// (keys verify the exact event sequence, so a hash collision is a
     /// miss, never a wrong answer), and the GEMM consumes identical inputs
-    /// either way. Models without the repr seam fall back to
-    /// [`FrozenModel::score_batch`] transparently.
+    /// either way.
     pub fn score_batch_cached(
         &self,
         sessions: &[Session],
         cache: &ReprCache,
         version: u64,
     ) -> Vec<Vec<f32>> {
-        if self.repr_capable.get() == Some(false) {
-            return self.score_batch(sessions);
-        }
         let _span = embsr_obs::span("embsr_serve", "score_batch_cached")
             .with_close_level(embsr_obs::Level::Trace);
+        self.score_rows(sessions, Some((cache, version)))
+    }
+
+    /// The one scoring body: truncates the non-empty sessions, takes each
+    /// representation from `cache` (keyed by snapshot version) or from
+    /// [`SessionModel::repr_infer`], scores them all in one
+    /// [`SessionModel::logits_of_reprs`] GEMM, and hands the rows back in
+    /// input order with an empty row per empty session.
+    fn score_rows(&self, sessions: &[Session], cache: Option<(&ReprCache, u64)>) -> Vec<Vec<f32>> {
         let truncated: Vec<Session> = sessions
             .iter()
             .filter(|s| !s.is_empty())
@@ -306,49 +275,34 @@ impl<M: SessionModel> FrozenModel<M> {
         if truncated.is_empty() {
             return sessions.iter().map(|_| Vec::new()).collect();
         }
-        // Probe the seam once per replica; models that keep the default
-        // `repr_infer = None` use the plain batched path forever after.
-        if self.repr_capable.get().is_none() {
-            let capable = kernels::with_tier(self.tier, || {
-                inference_mode(|| self.model.repr_infer(&truncated[0]).is_some())
-            });
-            self.repr_capable.set(Some(capable));
-            if !capable {
-                return self.score_batch(sessions);
-            }
-        }
-        let logits: Option<embsr_tensor::Tensor> = kernels::with_tier(self.tier, || {
+        let logits = kernels::with_tier(self.tier, || {
             inference_mode(|| {
-                let mut rows: Vec<Tensor> = Vec::with_capacity(truncated.len());
-                for s in &truncated {
-                    let repr = match cache.lookup(version, &s.events) {
-                        Some(v) => {
-                            let d = v.len();
-                            Tensor::from_vec(v, &[d])
-                        }
-                        None => {
-                            let r = self.model.repr_infer(s)?;
-                            cache.insert(version, &s.events, r.to_vec());
-                            r
-                        }
-                    };
-                    rows.push(repr);
-                }
-                self.model.logits_of_reprs(&Tensor::stack_rows(&rows))
+                let reprs: Vec<Tensor> = truncated
+                    .iter()
+                    .map(|s| match cache {
+                        Some((cache, version)) => match cache.lookup(version, &s.events) {
+                            Some(v) => {
+                                let d = v.len();
+                                Tensor::from_vec(v, &[d])
+                            }
+                            None => {
+                                let r = self.model.repr_infer(s);
+                                cache.insert(version, &s.events, r.to_vec());
+                                r
+                            }
+                        },
+                        None => self.model.repr_infer(s),
+                    })
+                    .collect();
+                self.model.logits_of_reprs(&Tensor::stack_rows(&reprs))
             })
         });
-        let logits = match logits {
-            Some(l) => l,
-            // An override answering `repr_infer` but not `logits_of_reprs`
-            // (or vice versa) violates the seam contract; serve correctly
-            // anyway via the uncached path.
-            None => return self.score_batch(sessions),
-        };
         let v = self.model.num_items();
         assert_eq!(logits.rows(), truncated.len(), "one logit row per session");
         assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        let mut scored = flat.chunks(v).map(|row| row.to_vec());
+        let data = logits.data();
+        // One chunk per non-empty session, guaranteed by the row assert above.
+        let mut scored = data.chunks(v).map(<[f32]>::to_vec);
         sessions
             .iter()
             .map(|s| {
@@ -376,7 +330,7 @@ impl<M: SessionModel> FrozenModel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{sess, ReprToyModel, ToyModel};
+    use crate::testing::{sess, ToyModel};
 
     #[test]
     fn snapshot_round_trips_weights() {
@@ -501,7 +455,7 @@ mod tests {
 
     #[test]
     fn cached_scores_are_bitwise_equal_cold_and_warm() {
-        let frozen = FrozenModel::freeze(ReprToyModel(ToyModel::new(8, 3)), 32);
+        let frozen = FrozenModel::freeze(ToyModel::new(8, 3), 32);
         let cache = crate::cache::ReprCache::new(64);
         let sessions = vec![sess(&[1]), sess(&[2, 5]), sess(&[]), sess(&[7, 0, 4])];
         let plain = frozen.score_batch(&sessions);
@@ -515,23 +469,6 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.hits >= 3, "warm pass should hit: {stats:?}");
         assert_eq!(stats.entries, 3);
-    }
-
-    #[test]
-    fn models_without_the_repr_seam_fall_back_to_uncached_scoring() {
-        let frozen = FrozenModel::freeze(ToyModel::new(8, 3), 32);
-        let cache = crate::cache::ReprCache::new(64);
-        let sessions = vec![sess(&[1]), sess(&[2, 5])];
-        assert_eq!(
-            frozen.score_batch_cached(&sessions, &cache, 1),
-            frozen.score_batch(&sessions)
-        );
-        // second call takes the remembered-incapable early exit
-        assert_eq!(
-            frozen.score_batch_cached(&sessions, &cache, 1),
-            frozen.score_batch(&sessions)
-        );
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

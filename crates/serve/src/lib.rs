@@ -19,7 +19,7 @@
 //!   span tree (`score_request` → `queue_wait` / `batch_assembly` /
 //!   `scoring`, plus `top_k` selection). Its queue is the only queue on
 //!   the serving path: front ends push [`Job`]s straight into it through
-//!   an owned [`EngineHandle`] ([`Client::enqueue`]) and collect the
+//!   an owned [`EngineHandle`] ([`EngineHandle::enqueue`]) and collect the
 //!   per-session replies with [`gather_replies`].
 //!
 //! Serving defaults to the **vectorized kernel tier** with optional
@@ -42,7 +42,7 @@ pub use cache::{
     METRIC_CACHE_MISSES,
 };
 pub use engine::{
-    gather_replies, serve, Client, EngineConfig, EngineHandle, EngineStatus, Job, Refused,
+    gather_replies, serve, EngineConfig, EngineHandle, EngineStatus, Job, Refused,
     ServeError, SessionReply, SubmitOptions, SwapError, METRIC_BATCH_SESSIONS, METRIC_DEADLINE_EXPIRED, METRIC_QUEUE_DEPTH, METRIC_REJECTED,
     METRIC_REQUEST_LATENCY_US, METRIC_SESSIONS_SCORED, METRIC_SNAPSHOT_SWAPS,
 };
@@ -60,7 +60,8 @@ pub(crate) mod testing {
     /// Minimal deterministic model: logits are the mean of the weight rows
     /// of the session's items, so scores depend on the whole (truncated)
     /// session and on the weights — enough to catch snapshot or batching
-    /// mix-ups.
+    /// mix-ups. The representation is the logits row itself and the final
+    /// "GEMM" is the identity, so the cached path replays it exactly.
     pub struct ToyModel {
         weight: Tensor,
         num_items: usize,
@@ -86,38 +87,13 @@ pub(crate) mod testing {
         fn parameters(&self) -> Vec<Tensor> {
             vec![self.weight.clone()]
         }
-        fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+        fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
             let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
             assert!(!idx.is_empty(), "empty session");
             self.weight.gather_rows(&idx).mean_rows()
         }
-    }
-
-    /// [`ToyModel`] with the repr seam: the "representation" is the logits
-    /// row itself and the final GEMM is the identity, which satisfies the
-    /// bitwise factoring contract trivially. Exercises the cached scoring
-    /// path (plain `ToyModel` keeps the seamless default and exercises the
-    /// fallback).
-    pub struct ReprToyModel(pub ToyModel);
-
-    impl SessionModel for ReprToyModel {
-        fn name(&self) -> &str {
-            "ReprToy"
-        }
-        fn num_items(&self) -> usize {
-            self.0.num_items()
-        }
-        fn parameters(&self) -> Vec<Tensor> {
-            self.0.parameters()
-        }
-        fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
-            self.0.logits(session, training, rng)
-        }
-        fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-            Some(self.logits_infer(session))
-        }
-        fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-            Some(reprs.clone())
+        fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+            reprs.clone()
         }
     }
 

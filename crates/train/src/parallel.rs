@@ -637,7 +637,7 @@ mod tests {
         fn parameters(&self) -> Vec<Tensor> {
             vec![self.table.clone()]
         }
-        fn logits(&self, s: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        fn session_repr(&self, s: &Session, training: bool, rng: &mut Rng) -> Tensor {
             let last = match s.events.last() {
                 Some(e) => e.item as usize,
                 None => 0,
@@ -649,6 +649,9 @@ mod tests {
             } else {
                 row
             }
+        }
+        fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+            reprs.clone()
         }
     }
 

@@ -46,6 +46,13 @@ pub trait Recommender {
 }
 
 /// A differentiable next-item model trained by the shared [`crate::Trainer`].
+///
+/// Every model is a session encoder followed by one scoring GEMM, and
+/// implements exactly those two steps: [`SessionModel::session_repr`]
+/// (session → `[d]`) and [`SessionModel::logits_of_reprs`]
+/// (`[B, d]` → `[B, |V|]`). Training, batched inference and the serving
+/// repr cache are all built from them by the provided methods, which
+/// implementors do not override.
 pub trait SessionModel {
     /// Model name.
     fn name(&self) -> &str;
@@ -56,63 +63,53 @@ pub trait SessionModel {
     /// All trainable parameters.
     fn parameters(&self) -> Vec<Tensor>;
 
-    /// Logits `[|V|]` for the next item after `session`.
+    /// The session representation `[d]`: the model state right before the
+    /// final scoring GEMM (EMBSR's fused `m` of eq. 18).
     ///
     /// `training` toggles dropout; `rng` drives it.
-    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor;
+    fn session_repr(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor;
+
+    /// Logits `[B, |V|]` from stacked representations `[B, d]`: the final
+    /// scoring GEMM against the item table (eq. 19 for EMBSR).
+    ///
+    /// GEMM rows are independent sequential dot products, so row `i` depends
+    /// only on `reprs` row `i`: a batch of one scores exactly like any row of
+    /// a larger batch. This is what makes [`SessionModel::logits_batch`] and
+    /// the serving-side repr cache bitwise-equal to the per-session forward.
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor;
+
+    /// Logits `[|V|]` for the next item after `session`: the representation
+    /// scored as a batch of one. This is the training forward.
+    fn logits(&self, session: &Session, training: bool, rng: &mut Rng) -> Tensor {
+        let m = self.session_repr(session, training, rng);
+        let d = m.len();
+        let y = self.logits_of_reprs(&m.reshape(&[1, d]));
+        let n = y.len();
+        y.reshape(&[n])
+    }
+
+    /// Inference-time session representation `[d]`: no dropout, no RNG to
+    /// thread.
+    fn repr_infer(&self, session: &Session) -> Tensor {
+        let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
+        self.session_repr(session, false, &mut rng)
+    }
 
     /// Inference-time logits `[|V|]`: no dropout, no RNG to thread.
-    ///
-    /// Eval-time callers used to pass `training = false` plus a dummy RNG
-    /// into [`SessionModel::logits`]; this is the same forward without the
-    /// ceremony. The default delegates, so implementors get it for free.
     fn logits_infer(&self, session: &Session) -> Tensor {
         let mut rng = Rng::seed_from_u64(0); // never drawn from: dropout is off
         self.logits(session, false, &mut rng)
     }
 
     /// Inference-time logits for a batch of sessions, shape `[B, |V|]` with
-    /// row `i` scoring `sessions[i]`.
-    ///
-    /// The default stacks per-session [`SessionModel::logits_infer`] rows.
-    /// Models override it to share work across the batch — encoding each
-    /// session once and scoring all representations against the item table
-    /// in a single GEMM — while keeping every row bitwise-equal to the
-    /// per-session path (GEMM rows are independent sequential dot products).
+    /// row `i` scoring `sessions[i]`: the [`SessionModel::repr_infer`] rows
+    /// stacked and scored in one [`SessionModel::logits_of_reprs`] GEMM, so
+    /// the item-table pass is shared across the batch while every row stays
+    /// bitwise-equal to [`SessionModel::logits_infer`].
     fn logits_batch(&self, sessions: &[&Session]) -> Tensor {
         assert!(!sessions.is_empty(), "logits_batch of an empty batch");
-        let rows: Vec<Tensor> = sessions
-            .iter()
-            .map(|s| {
-                let y = self.logits_infer(s);
-                let n = y.len();
-                y.reshape(&[1, n])
-            })
-            .collect();
-        Tensor::concat_rows(&rows)
-    }
-
-    /// Inference-time session representation `[d]` — the model state right
-    /// before the final logits GEMM, when the model has such a seam.
-    ///
-    /// The contract that makes the serving-side repr cache sound: for any
-    /// batch, stacking `repr_infer` rows and applying
-    /// [`SessionModel::logits_of_reprs`] must reproduce
-    /// [`SessionModel::logits_batch`] **bitwise** (same kernel tier, same
-    /// inference mode). Models whose forward does not factor this way keep
-    /// the default `None`, which disables caching for them.
-    fn repr_infer(&self, session: &Session) -> Option<Tensor> {
-        let _ = session;
-        None
-    }
-
-    /// Logits `[B, |V|]` from stacked representations `[B, d]` — the final
-    /// GEMM of the factored forward. Must be `Some` exactly when
-    /// [`SessionModel::repr_infer`] is, and together with it reproduce
-    /// [`SessionModel::logits_batch`] bitwise.
-    fn logits_of_reprs(&self, reprs: &Tensor) -> Option<Tensor> {
-        let _ = reprs;
-        None
+        let reprs: Vec<Tensor> = sessions.iter().map(|s| self.repr_infer(s)).collect();
+        self.logits_of_reprs(&Tensor::stack_rows(&reprs))
     }
 }
 
@@ -171,8 +168,8 @@ impl<M: SessionModel> Recommender for NeuralRecommender<M> {
         let v = self.model.num_items();
         assert_eq!(logits.rows(), sessions.len(), "one logit row per session");
         assert_eq!(logits.cols(), v, "full-vocabulary rows");
-        let flat = logits.to_vec();
-        flat.chunks(v).map(|row| row.to_vec()).collect()
+        let data = logits.data();
+        data.chunks(v).map(<[f32]>::to_vec).collect()
     }
 
     fn train_report(&self) -> Option<&crate::TrainReport> {
@@ -200,8 +197,11 @@ mod tests {
         fn parameters(&self) -> Vec<Tensor> {
             Vec::new()
         }
-        fn logits(&self, _s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
+        fn session_repr(&self, _s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
             Tensor::zeros(&[self.n])
+        }
+        fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+            reprs.clone()
         }
     }
 

@@ -331,9 +331,12 @@ mod tests {
         fn parameters(&self) -> Vec<Tensor> {
             vec![self.table.clone()]
         }
-        fn logits(&self, s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
+        fn session_repr(&self, s: &Session, _t: bool, _r: &mut Rng) -> Tensor {
             let last = s.events.last().expect("non-empty").item as usize;
             self.table.row(last)
+        }
+        fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+            reprs.clone()
         }
     }
 
@@ -413,8 +416,11 @@ mod tests {
             p.push(self.orphan.clone());
             p
         }
-        fn logits(&self, s: &Session, t: bool, r: &mut Rng) -> Tensor {
-            self.inner.logits(s, t, r)
+        fn session_repr(&self, s: &Session, t: bool, r: &mut Rng) -> Tensor {
+            self.inner.session_repr(s, t, r)
+        }
+        fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+            reprs.clone()
         }
     }
 

@@ -49,13 +49,15 @@ impl SessionModel for LastItemBilinear {
         p
     }
 
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+    /// The session representation: `W · e_last` (`[d]`).
+    fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let last = session.events.last().expect("non-empty session").item as usize;
-        let q = self.w.apply(&self.items.lookup_one(last)); // [d]
-        let d = q.len();
-        q.reshape(&[1, d])
-            .matmul(&self.items.weight.transpose())
-            .reshape(&[self.num_items])
+        self.w.apply(&self.items.lookup_one(last))
+    }
+
+    /// Scores representations `[B, d]` against every item: `[B, |V|]`.
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        reprs.matmul(&self.items.weight.transpose())
     }
 }
 

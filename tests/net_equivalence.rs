@@ -71,7 +71,7 @@ where
         },
     )
     .expect("server starts");
-    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let client = NetClient::connect(server.addr()).expect("connect");
     let sessions = test_sessions(seed);
     for &batch in &RAGGED_BATCHES {
         for chunk in sessions.chunks(batch) {
@@ -169,7 +169,7 @@ fn reduced_precision_snapshots_cross_the_wire() {
             },
         )
         .expect("server starts");
-        let mut client = NetClient::connect(server.addr()).expect("connect");
+        let client = NetClient::connect(server.addr()).expect("connect");
         let sessions = test_sessions(42);
         for chunk in sessions.chunks(5).take(4) {
             let expected = master.score_batch(chunk);
@@ -213,7 +213,7 @@ fn networked_top_k_matches_in_process_selection() {
         },
     )
     .expect("server starts");
-    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let client = NetClient::connect(server.addr()).expect("connect");
     let sessions = test_sessions(42);
     for k in [1usize, 5, 10] {
         let chunk = &sessions[..7];

@@ -27,7 +27,9 @@
 //!   step, so some rank flip is unavoidable and the right gate for the
 //!   rounding is magnitude, not order).
 
-use embsr_baselines::{Gru4Rec, Narm};
+use embsr_baselines::{
+    Bert4Rec, Fpmc, GcSan, Gru4Rec, Hup, MkmSr, Narm, Rib, SgnnHn, SrGnn, Stamp,
+};
 use embsr_core::{Embsr, EmbsrConfig};
 use embsr_eval::{hit_at_k, rank_of_target, reciprocal_rank_at_k};
 use embsr_serve::{FrozenModel, KernelTier, Precision, ReprCache};
@@ -395,7 +397,7 @@ fn narm_reduced_precision_keeps_epsilon_and_metrics() {
 
 // ---------------------------------------------------------------------------
 // Session-repr cache: cached scoring is bitwise-identical to uncached, cold
-// and warm, across every model with the repr seam
+// and warm, across every neural model
 // ---------------------------------------------------------------------------
 
 /// The cache contract at the frozen-model layer: `score_batch_cached` must
@@ -459,6 +461,32 @@ fn narm_repr_cache_is_bitwise_equal_cold_and_warm() {
         let frozen = FrozenModel::freeze(Narm::new(NUM_ITEMS, DIM, 0.25, seed), max_len);
         assert_cached_bitwise(&frozen, seed);
     }
+}
+
+/// Both serving contracts for one architecture at every seed: packed
+/// batched == taped per-session, and cached == uncached with a warm pass
+/// that really hits.
+fn assert_serving_contracts<M: SessionModel>(build: impl Fn(u64) -> M) {
+    let max_len = TrainConfig::fast().max_session_len;
+    for seed in SEEDS {
+        assert_packed_bitwise(build(seed), build(seed), seed);
+        assert_cached_bitwise(&FrozenModel::freeze(build(seed), max_len), seed);
+    }
+}
+
+/// The remaining neural baselines, held to the contracts EMBSR, GRU4Rec
+/// and NARM are pinned to above.
+#[test]
+fn every_neural_baseline_is_bitwise_packed_and_cached() {
+    assert_serving_contracts(|seed| Bert4Rec::new(NUM_ITEMS, DIM, seed));
+    assert_serving_contracts(|seed| Fpmc::new(NUM_ITEMS, DIM, seed));
+    assert_serving_contracts(|seed| GcSan::new(NUM_ITEMS, DIM, seed));
+    assert_serving_contracts(|seed| Hup::new(NUM_ITEMS, NUM_OPS, DIM, seed));
+    assert_serving_contracts(|seed| MkmSr::new(NUM_ITEMS, NUM_OPS, DIM, seed));
+    assert_serving_contracts(|seed| Rib::new(NUM_ITEMS, NUM_OPS, DIM, seed));
+    assert_serving_contracts(|seed| SgnnHn::new(NUM_ITEMS, DIM, seed));
+    assert_serving_contracts(|seed| SrGnn::new(NUM_ITEMS, DIM, seed));
+    assert_serving_contracts(|seed| Stamp::new(NUM_ITEMS, DIM, seed));
 }
 
 #[test]

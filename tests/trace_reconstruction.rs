@@ -51,9 +51,12 @@ impl SessionModel for ToyModel {
     fn parameters(&self) -> Vec<Tensor> {
         vec![self.weight.clone()]
     }
-    fn logits(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
+    fn session_repr(&self, session: &Session, _training: bool, _rng: &mut Rng) -> Tensor {
         let idx: Vec<usize> = session.events.iter().map(|e| e.item as usize).collect();
         self.weight.gather_rows(&idx).mean_rows()
+    }
+    fn logits_of_reprs(&self, reprs: &Tensor) -> Tensor {
+        reprs.clone()
     }
 }
 
@@ -69,7 +72,7 @@ fn with_traced_engine<M: SessionModel, R>(
     frozen: &FrozenModel<M>,
     make_model: impl Fn() -> M + Sync,
     workers: usize,
-    f: impl FnOnce(&embsr_serve::Client<'_>) -> R,
+    f: impl FnOnce(&embsr_serve::EngineHandle) -> R,
 ) -> (Vec<SpanRecord>, R) {
     let mem = MemorySink::new();
     embsr_obs::add_sink(Arc::new(mem.clone()));
